@@ -152,8 +152,9 @@ impl Tally {
 /// What one pass over the three phases measured.
 struct Pass {
     e2e: Metrics,
-    /// Open-loop and session latency tails.
-    tails: Metrics,
+    /// Latencies reported with the layer metrics: the `high` median and
+    /// every p99.
+    latencies: Metrics,
     /// `fft.plan_cache` hits and misses during training (traced pass only).
     plan_cache: (u64, u64),
     /// `ft-serve` histograms after serving (traced pass only).
@@ -234,18 +235,19 @@ fn pass(sets: &Sets, seed: u64, seconds: f64, work: &Path, tally: &mut Tally) ->
     }
     m.put("serve.sat_rps", serve::sat_rps(&sat), "req/s");
     m.put("serve.low.p50_ms", stats::median(&low.latencies_ms), "ms");
-    m.put("serve.high.p50_ms", stats::median(&high.latencies_ms), "ms");
     m.put(
         "serve.session.p50_ms",
         stats::median(&high.session_steps_ms),
         "ms",
     );
-    // Latency tails follow every hiccup of a shared host too closely to
-    // be bounded; the traced run reports them with the layer metrics.
-    let mut tails = Metrics::default();
-    tails.put("serve.low.p99_ms", stats::tail(&low.latencies_ms), "ms");
-    tails.put("serve.high.p99_ms", stats::tail(&high.latencies_ms), "ms");
-    tails.put(
+    // Latency tails, and any latency under queueing, follow every hiccup
+    // of a shared host too closely to be bounded; the traced run reports
+    // them with the layer metrics.
+    let mut latencies = Metrics::default();
+    latencies.put("serve.high.p50_ms", stats::median(&high.latencies_ms), "ms");
+    latencies.put("serve.low.p99_ms", stats::tail(&low.latencies_ms), "ms");
+    latencies.put("serve.high.p99_ms", stats::tail(&high.latencies_ms), "ms");
+    latencies.put(
         "serve.session.p99_ms",
         stats::tail(&high.session_steps_ms),
         "ms",
@@ -263,7 +265,7 @@ fn pass(sets: &Sets, seed: u64, seconds: f64, work: &Path, tally: &mut Tally) ->
     let lags_ms = [high.lags_ms, low.lags_ms].concat();
     Pass {
         e2e: m,
-        tails,
+        latencies,
         plan_cache,
         serve_hists,
         session_steps_ms: high.session_steps_ms,
@@ -348,11 +350,12 @@ fn per_layer(
     );
     m.put("serve.gen_lag_ms", stats::tail(&traced.lags_ms), "ms");
     for name in [
+        "serve.high.p50_ms",
         "serve.low.p99_ms",
         "serve.high.p99_ms",
         "serve.session.p99_ms",
     ] {
-        m.put(name, untraced.tails.get(name).unwrap_or(f64::NAN), "ms");
+        m.put(name, untraced.latencies.get(name).unwrap_or(f64::NAN), "ms");
     }
 
     tally.check(layers::simulation(&sets.sim, 20, &mut m));
