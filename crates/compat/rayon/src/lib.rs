@@ -7,22 +7,31 @@
 //! * `par_chunks_mut` / `par_chunks` / `par_iter_mut` / `into_par_iter`
 //!   entry points returning a [`ParIter`];
 //! * `enumerate`, `zip`, `map`, `for_each`, `collect`, `reduce` adapters;
-//! * terminal operations (`for_each`, `collect`, `reduce`) split the work
-//!   across `std::thread::scope` threads — real parallelism, no external
-//!   thread-pool crate.
+//! * terminal operations (`for_each`, `collect`, `reduce`) and [`scope`]
+//!   split the work across one persistent, lazily started pool of
+//!   `width − 1` worker threads; the calling thread claims and runs parts
+//!   alongside them, and a parallel call made inside a pool task runs
+//!   inline.
 //!
 //! Small workloads (fewer items than [`MIN_PARALLEL_ITEMS`]) run inline to
-//! avoid paying thread-spawn latency per call. `ParIter` also implements
-//! [`Iterator`], so any adapter this shim does not special-case degrades
-//! gracefully to the sequential std implementation.
+//! avoid paying the hand-off to a worker per call. `ParIter` also
+//! implements [`Iterator`], so any adapter this shim does not special-case
+//! degrades gracefully to the sequential std implementation.
 
 #![warn(missing_docs)]
 
+use std::marker::PhantomData;
 use std::num::NonZeroUsize;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-/// Below this many items a terminal operation runs inline; thread spawn
-/// costs (~tens of µs) would dominate.
+mod pool;
+
+pub use pool::task_depth;
+
+/// Below this many items a terminal operation runs inline; handing parts
+/// to a worker and waking it would cost more than the work.
 pub const MIN_PARALLEL_ITEMS: usize = 64;
 
 /// Global pool width set by [`ThreadPoolBuilder::build_global`];
@@ -38,6 +47,20 @@ fn num_threads() -> usize {
         0 => machine_threads(),
         n => n,
     }
+}
+
+/// Fixes the pool width at its current value when the pool starts, so a
+/// later [`ThreadPoolBuilder::build_global`] fails as it does in rayon.
+fn pin_width() -> usize {
+    let machine = machine_threads();
+    let _ = GLOBAL_THREADS.compare_exchange(0, machine, Ordering::SeqCst, Ordering::SeqCst);
+    num_threads()
+}
+
+/// Whether terminal operations stream through the calling thread: at pool
+/// width 1, or inside a pool task (nested parallel calls run inline).
+fn runs_inline() -> bool {
+    num_threads() == 1 || pool::in_task()
 }
 
 /// Number of worker threads terminal operations may fan out over —
@@ -63,10 +86,11 @@ impl std::error::Error for ThreadPoolBuildError {}
 
 /// Configures the process-global worker pool, rayon-style.
 ///
-/// The shim has no persistent pool threads; "building" the global pool
-/// simply fixes the fan-out width used by every subsequent terminal
-/// operation. Like rayon, the global pool can be initialized at most
-/// once — a second call fails with [`ThreadPoolBuildError`].
+/// "Building" the global pool fixes the fan-out width; its `width − 1`
+/// worker threads start with the first parallel call that needs them.
+/// Like rayon, the global pool can be initialized at most once — a second
+/// call, or one after a parallel call already started the pool at the
+/// machine's width, fails with [`ThreadPoolBuildError`].
 #[derive(Debug, Default)]
 pub struct ThreadPoolBuilder {
     num_threads: usize,
@@ -99,8 +123,8 @@ impl ThreadPoolBuilder {
 
 /// Number of batches a workload of `n` items should split into: never
 /// more than the pool width, never so many that a batch drops below the
-/// caller's `with_min_len` hint, and 1 (inline, no spawns) for workloads
-/// too small to amortize thread-spawn latency.
+/// caller's `with_min_len` hint, and 1 (inline) for workloads too small
+/// to amortize handing parts to a worker.
 fn fanout(n: usize, min_len: usize) -> usize {
     if n < MIN_PARALLEL_ITEMS.max(min_len) {
         return 1;
@@ -126,23 +150,22 @@ fn split_batches<T>(mut items: Vec<T>, parts: usize) -> Vec<Vec<T>> {
     out
 }
 
-/// Runs `f` over every item, splitting batches across scoped threads.
+/// Runs `f` over every item, splitting batches across the pool.
 fn parallel_for_each<T: Send, F: Fn(T) + Sync>(items: Vec<T>, min_len: usize, f: F) {
     let parts = fanout(items.len(), min_len);
     if parts <= 1 {
         items.into_iter().for_each(f);
         return;
     }
-    let batches = split_batches(items, parts);
-    std::thread::scope(|s| {
-        let f = &f;
-        for batch in batches {
-            s.spawn(move || batch.into_iter().for_each(f));
+    let f = &f;
+    scope(|s| {
+        for batch in split_batches(items, parts) {
+            s.spawn(move |_| batch.into_iter().for_each(f));
         }
     });
 }
 
-/// Maps every item, preserving order, splitting batches across threads.
+/// Maps every item, preserving order, splitting batches across the pool.
 fn parallel_map<T: Send, R: Send, F: Fn(T) -> R + Sync>(
     items: Vec<T>,
     min_len: usize,
@@ -152,23 +175,19 @@ fn parallel_map<T: Send, R: Send, F: Fn(T) -> R + Sync>(
     if parts <= 1 {
         return items.into_iter().map(f).collect();
     }
-    let batches = split_batches(items, parts);
-    let mut out = Vec::new();
-    std::thread::scope(|s| {
-        let f = &f;
-        let handles: Vec<_> = batches
-            .into_iter()
-            .map(|batch| s.spawn(move || batch.into_iter().map(f).collect::<Vec<R>>()))
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("rayon-compat worker panicked"));
+    let mut outs: Vec<Vec<R>> = Vec::new();
+    outs.resize_with(parts, Vec::new);
+    let f = &f;
+    scope(|s| {
+        for (batch, out) in split_batches(items, parts).into_iter().zip(outs.iter_mut()) {
+            s.spawn(move |_| *out = batch.into_iter().map(f).collect());
         }
     });
-    out
+    outs.into_iter().flatten().collect()
 }
 
 /// A "parallel" iterator: a plain iterator whose terminal operations fan
-/// out over scoped threads.
+/// out over the pool.
 pub struct ParIter<I> {
     inner: I,
     min_len: usize,
@@ -195,28 +214,28 @@ impl<I: Iterator> ParIter<I> {
         ParIter { inner: self.inner.zip(other), min_len: self.min_len }
     }
 
-    /// Lazily maps items; the closure runs on worker threads at the
-    /// terminal operation.
+    /// Lazily maps items; the closure runs on the pool at the terminal
+    /// operation.
     pub fn map<R, F: Fn(I::Item) -> R>(self, f: F) -> ParMap<I, F> {
         ParMap { inner: self.inner, f, min_len: self.min_len }
     }
 
     /// Requires at least `min` items per worker batch before splitting,
-    /// matching rayon: workloads too small to amortize a spawn run inline.
+    /// matching rayon: workloads too small to amortize a hand-off run inline.
     pub fn with_min_len(mut self, min: usize) -> Self {
         self.min_len = min.max(1);
         self
     }
 
     /// Consumes the iterator, applying `f` to every item in parallel.
-    /// With a single-thread pool the items stream straight through the
-    /// iterator — no intermediate `Vec`, no scoped threads.
+    /// With a single-thread pool, or inside a pool task, the items stream
+    /// straight through the iterator — no intermediate `Vec`, no hand-off.
     pub fn for_each<F>(self, f: F)
     where
         I::Item: Send,
         F: Fn(I::Item) + Sync,
     {
-        if num_threads() == 1 {
+        if runs_inline() {
             self.inner.for_each(f);
             return;
         }
@@ -246,7 +265,7 @@ impl<I: Iterator, R, F: Fn(I::Item) -> R> ParMap<I, F> {
         R: Send,
         F: Sync,
     {
-        if num_threads() == 1 {
+        if runs_inline() {
             return self.inner.map(self.f).collect();
         }
         parallel_map(self.inner.collect(), self.min_len, self.f).into_iter().collect()
@@ -261,7 +280,7 @@ impl<I: Iterator, R, F: Fn(I::Item) -> R> ParMap<I, F> {
         F: Sync,
     {
         let map = self.f;
-        if num_threads() == 1 {
+        if runs_inline() {
             self.inner.for_each(move |x| g(map(x)));
             return;
         }
@@ -278,7 +297,7 @@ impl<I: Iterator, R, F: Fn(I::Item) -> R> ParMap<I, F> {
         ID: Fn() -> R + Sync,
         OP: Fn(R, R) -> R + Sync,
     {
-        if num_threads() == 1 {
+        if runs_inline() {
             return self.inner.map(self.f).fold(identity(), &op);
         }
         let mapped = parallel_map(self.inner.collect(), self.min_len, self.f);
@@ -351,35 +370,54 @@ impl<T: Send> ParallelSliceMut<T> for [T] {
 
 /// A scope handle for structured task spawning (see [`scope`]).
 ///
-/// Unlike the iterator shims above, `spawn` always creates a real OS
-/// thread — callers use `scope` when they *want* concurrency regardless of
-/// workload size (e.g. sharding a mini-batch across replicas), so there is
-/// no inline fallback here.
+/// Unlike the iterator shims above, `spawn` has no size threshold: callers
+/// use `scope` when they *want* concurrency regardless of workload size
+/// (e.g. sharding a mini-batch across replicas). Spawned tasks go to the
+/// pool; the thread that called [`scope`] runs whichever of them no worker
+/// has claimed.
 pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
+    group: &'scope Arc<pool::Group>,
+    /// Invariant in both lifetimes, like `std::thread::Scope`.
+    scope: PhantomData<&'scope mut &'scope ()>,
+    env: PhantomData<&'env mut &'env ()>,
 }
 
 impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawns `f` on a scoped thread; the closure may spawn further tasks
+    /// Spawns `f` as a pool task; the closure may spawn further tasks
     /// through the scope handle it receives, rayon-style.
     pub fn spawn<F>(&self, f: F)
     where
         F: FnOnce(&Scope<'scope, 'env>) + Send + 'scope,
     {
-        let inner = self.inner;
-        self.inner.spawn(move || f(&Scope { inner }));
+        let group = self.group;
+        let task = Box::new(move || f(&Scope { group, scope: PhantomData, env: PhantomData }));
+        // SAFETY: `task` borrows only data that outlives `'scope`, and
+        // `scope` joins the group before `'scope` ends, also when its body
+        // panics.
+        unsafe { group.submit(task) };
     }
 }
 
 /// Structured fork-join, rayon-style: runs `f` with a [`Scope`] whose
 /// spawned tasks are all joined before `scope` returns. Borrows of stack
 /// data from the enclosing frame are allowed, as with `std::thread::scope`.
+/// Called inside a pool task, the spawned tasks all run inline on the
+/// calling thread. A panic in `f` or in a task is re-raised here, after
+/// every task has finished, with its original payload.
 pub fn scope<'env, F, R>(f: F) -> R
 where
     F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R + Send,
     R: Send,
 {
-    std::thread::scope(|s| f(&Scope { inner: s }))
+    let group = pool::Group::new();
+    let body = catch_unwind(AssertUnwindSafe(|| {
+        f(&Scope { group: &group, scope: PhantomData, env: PhantomData })
+    }));
+    let task_panic = group.join();
+    match (body, task_panic) {
+        (Err(payload), _) | (Ok(_), Some(payload)) => resume_unwind(payload),
+        (Ok(r), None) => r,
+    }
 }
 
 /// Everything a `use rayon::prelude::*` consumer expects.

@@ -14,7 +14,7 @@ use crate::model::ForecastModel;
 /// Rolls a trained model forward from `history` (shape `[C_in, H, W]`, the
 /// ten newest frames, oldest first) until `horizon` new frames exist.
 /// Returns `[horizon, H, W]`.
-pub fn rollout<M: ForecastModel>(model: &M, history: &Tensor, horizon: usize) -> Tensor {
+pub fn rollout<M: ForecastModel + ?Sized>(model: &M, history: &Tensor, horizon: usize) -> Tensor {
     let c_in = model.in_channels();
     let c_out = model.out_channels();
     assert_eq!(history.dims()[0], c_in, "history must hold C_in frames");
@@ -71,7 +71,7 @@ pub fn frame_errors(pred: &Tensor, truth: &Tensor) -> Vec<f64> {
 /// 3D FNO prediction: maps a ten-frame block `[T, H, W]` to the next
 /// ten-frame block using the space-time model (input reshaped to
 /// `[1, 1, H, W, T]` as the model expects).
-pub fn predict_block_3d<M: ForecastModel>(model: &M, block: &Tensor) -> Tensor {
+pub fn predict_block_3d<M: ForecastModel + ?Sized>(model: &M, block: &Tensor) -> Tensor {
     let dims = block.dims().to_vec();
     assert_eq!(dims.len(), 3, "expected [T, H, W] block");
     let (t, h, w) = (dims[0], dims[1], dims[2]);

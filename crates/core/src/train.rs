@@ -688,7 +688,7 @@ pub fn sharded_batch_grads(
     results.resize_with(chunk.len(), || None);
     if workers == 1 {
         // Single worker (or single-sample batch): run inline rather than
-        // paying a thread spawn per batch.
+        // handing one shard to the pool.
         run_shard(
             replicas[0].as_mut(),
             snap,

@@ -33,8 +33,7 @@ pub fn fft_axis(ct: &mut CTensor, axis: usize, dir: Direction) {
     let inner: usize = dims[axis + 1..].iter().product();
 
     // One planner lookup covers the whole batch; workers share the handle
-    // instead of paying a plan-cache probe (or a twiddle re-derivation on a
-    // freshly spawned thread) per line.
+    // instead of paying a plan-cache probe per line.
     let plan = shared_plan(n);
     ct.data_mut().par_chunks_mut(block).for_each(|chunk| {
         if inner == 1 {

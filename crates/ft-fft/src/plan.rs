@@ -120,8 +120,7 @@ pub fn with_plan<R>(n: usize, f: impl FnOnce(&Fft) -> R) -> R {
 /// Batched call sites hoist this out of their per-slice loops: one planner
 /// lookup (and one hit/miss tick) covers the whole batch, and because plans
 /// are immutable the `Arc` crosses worker threads without each of them
-/// paying a cache lookup — or, on a freshly spawned worker, a full twiddle
-/// re-derivation — per row.
+/// paying a cache lookup per row.
 pub fn shared_plan(n: usize) -> Arc<Fft> {
     LOCAL_PLANNER.with(|p| p.borrow_mut().plan(n))
 }

@@ -3,9 +3,12 @@
 //! [`span()`] returns an RAII guard that times the enclosing scope. Guards
 //! nest through a thread-local stack: a span entered while another is live
 //! on the same thread aggregates under the parent's path joined with `/`
-//! (`train/epoch/eval`). On drop, the elapsed time is merged into a
-//! process-global table keyed by path, so repeated entries of the same
-//! scope accumulate `count` and `total_ns` rather than growing a log.
+//! (`train/epoch/eval`). A rayon pool task is its own root: spans it opens
+//! do not nest under spans live around it on the thread that runs it, so
+//! a path never depends on which thread claimed the task. On drop, the
+//! elapsed time is merged into a process-global table keyed by path, so
+//! repeated entries of the same scope accumulate `count` and `total_ns`
+//! rather than growing a log.
 //!
 //! Aggregation locks a global mutex only on guard *drop*; spans are meant
 //! for coarse scopes (an epoch, a solver run, a forward pass), not
@@ -30,7 +33,9 @@ pub struct SpanStat {
 static AGG: Mutex<Option<HashMap<String, SpanStat>>> = Mutex::new(None);
 
 thread_local! {
-    static STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
+    /// Live span paths, each tagged with the pool-task depth
+    /// (`rayon::task_depth`) it was entered at.
+    static STACK: RefCell<Vec<(usize, String)>> = const { RefCell::new(Vec::new()) };
 }
 
 struct ActiveSpan {
@@ -49,13 +54,14 @@ pub fn span(name: &'static str) -> SpanGuard {
     if !crate::enabled() {
         return SpanGuard(None);
     }
+    let depth = rayon::task_depth();
     let path = STACK.with(|s| {
         let mut s = s.borrow_mut();
         let path = match s.last() {
-            Some(parent) => format!("{parent}/{name}"),
-            None => name.to_string(),
+            Some((d, parent)) if *d == depth => format!("{parent}/{name}"),
+            _ => name.to_string(),
         };
-        s.push(path.clone());
+        s.push((depth, path.clone()));
         path
     });
     SpanGuard(Some(ActiveSpan { path, start: Instant::now() }))
@@ -69,7 +75,7 @@ impl Drop for SpanGuard {
             let mut s = s.borrow_mut();
             // Guards are scoped, so the top of the stack is ours; the
             // check tolerates a guard moved across threads.
-            if s.last() == Some(&active.path) {
+            if s.last().is_some_and(|(_, path)| *path == active.path) {
                 s.pop();
             }
         });

@@ -1,5 +1,5 @@
 //! Integration tests for the observability substrate: span nesting and
-//! aggregation, counter atomicity under rayon parallelism, and JSONL /
+//! aggregation (also across pool tasks), counter atomicity under rayon parallelism, and JSONL /
 //! bench-file schema stability (golden records).
 //!
 //! All tests here run with instrumentation **enabled** and never turn it
@@ -40,6 +40,29 @@ fn span_nesting_builds_hierarchical_paths() {
 }
 
 #[test]
+fn spans_inside_pool_tasks_are_roots_whichever_thread_runs_them() {
+    ft_obs::set_enabled(true);
+    {
+        let _outer = ft_obs::span("task_outer");
+        rayon::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|_| {
+                    let _task = ft_obs::span("task_root");
+                    let _child = ft_obs::span("task_child");
+                });
+            }
+        });
+        let _after = ft_obs::span("task_after");
+    }
+    let stats = ft_obs::span::stats();
+    let count = |path: &str| stats.iter().find(|(p, _)| p == path).map_or(0, |(_, s)| s.count);
+    assert_eq!(count("task_root"), 8, "a task's span is a root, also when the caller runs it");
+    assert_eq!(count("task_root/task_child"), 8, "spans nest inside a task");
+    assert_eq!(count("task_outer/task_root"), 0);
+    assert_eq!(count("task_outer/task_after"), 1, "the caller's stack is intact after the tasks");
+}
+
+#[test]
 fn span_aggregation_accumulates_across_reentry() {
     ft_obs::set_enabled(true);
     for _ in 0..10 {
@@ -57,7 +80,7 @@ fn counter_is_atomic_under_rayon_parallelism() {
     ft_obs::set_enabled(true);
     let n: u64 = 100_000;
     // Well above the compat-rayon inline threshold, so this genuinely
-    // splits across std::thread::scope workers.
+    // splits across the worker pool.
     (0..n).into_par_iter().for_each(|_| PAR_COUNTER.inc());
     assert_eq!(PAR_COUNTER.get(), n, "no increments may be lost");
     assert!(ft_obs::metrics::counter_snapshot()

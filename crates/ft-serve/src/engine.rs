@@ -14,10 +14,11 @@
 //!    at most `batch_window` to let compatible requests arrive. Requests
 //!    with a different key are left queued in order.
 //! 3. **Execution** — the batch is stacked along a new leading axis and
-//!    run through one [`ForecastModel::forward_inference`] call (no
-//!    gradient tape), which parallelizes internally via rayon. A panic in
-//!    the model is caught and converted into per-request errors — the
-//!    dispatcher and the server outlive bad inputs.
+//!    run through one
+//!    [`ForecastModel::forward_inference`](fno_core::ForecastModel::forward_inference)
+//!    call (no gradient tape), which parallelizes internally via rayon. A
+//!    panic in the model is caught and converted into per-request errors —
+//!    the dispatcher and the server outlive bad inputs.
 //! 4. **Completion** — each caller's [`PendingResponse`] is filled and
 //!    woken.
 //!
@@ -41,7 +42,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ft_tensor::Tensor;
-use fno_core::{FnoKind, ForecastModel};
+use fno_core::FnoKind;
 
 use crate::metrics;
 use crate::registry::{ModelEntry, ModelRegistry};
@@ -653,7 +654,7 @@ mod tests {
         let id = h.open_session("m", &hist).unwrap();
         let served = h.session_step(id, 5).unwrap();
         let reg = tiny_registry();
-        let direct = fno_core::rollout::rollout(&reg.get("m").unwrap().model, &hist, 5);
+        let direct = fno_core::rollout::rollout(&*reg.get("m").unwrap().model, &hist, 5);
         assert!(served.allclose(&direct, 1e-12));
         assert!(h.close_session(id));
         assert!(matches!(

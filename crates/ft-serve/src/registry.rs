@@ -24,7 +24,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use fno_core::checkpoint::CheckpointError;
-use fno_core::{Checkpoint, Fno, FnoConfig, FnoKind, ModelMeta};
+use fno_core::{Checkpoint, Fno, FnoConfig, FnoKind, ForecastModel, ModelMeta};
 
 /// Why a model failed to register.
 #[derive(Debug)]
@@ -76,15 +76,17 @@ pub struct ModelEntry {
     /// Registry name, used as the micro-batching key.
     pub name: String,
     /// The loaded network. Immutable — inference only.
-    pub model: Fno,
+    pub model: Box<dyn ForecastModel + Send + Sync>,
     /// Metadata the model was validated against, when known.
     pub meta: Option<ModelMeta>,
+    config: FnoConfig,
 }
 
 impl ModelEntry {
-    /// The model's configuration.
+    /// The model's configuration: the input contract requests are
+    /// validated against.
     pub fn config(&self) -> &FnoConfig {
-        self.model.config()
+        &self.config
     }
 
     /// The input shape (excluding the batch axis) this model accepts from
@@ -116,19 +118,33 @@ impl ModelRegistry {
         self.insert_entry(name, model, None)
     }
 
+    /// Registers any forecasting model under `name`; `config` is the input
+    /// contract (layout, channels, retained modes) requests are validated
+    /// against.
+    pub fn insert_model(
+        &mut self,
+        name: &str,
+        config: FnoConfig,
+        model: Box<dyn ForecastModel + Send + Sync>,
+    ) -> Result<(), RegistryError> {
+        self.add(ModelEntry { name: name.to_string(), model, meta: None, config })
+    }
+
     fn insert_entry(
         &mut self,
         name: &str,
         model: Fno,
         meta: Option<ModelMeta>,
     ) -> Result<(), RegistryError> {
-        if self.models.contains_key(name) {
-            return Err(RegistryError::Duplicate(name.to_string()));
+        let config = model.config().clone();
+        self.add(ModelEntry { name: name.to_string(), model: Box::new(model), meta, config })
+    }
+
+    fn add(&mut self, entry: ModelEntry) -> Result<(), RegistryError> {
+        if self.models.contains_key(&entry.name) {
+            return Err(RegistryError::Duplicate(entry.name));
         }
-        self.models.insert(
-            name.to_string(),
-            Arc::new(ModelEntry { name: name.to_string(), model, meta }),
-        );
+        self.models.insert(entry.name.clone(), Arc::new(entry));
         Ok(())
     }
 

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use ft_tensor::Tensor;
 use fno_core::rollout::predict_block_3d;
-use fno_core::{FnoKind, ForecastModel};
+use fno_core::FnoKind;
 
 use crate::metrics;
 use crate::registry::ModelEntry;
@@ -154,7 +154,7 @@ impl SessionStore {
                 while s.pending.len() < steps * frame {
                     let block =
                         Tensor::from_vec(&[s.frames, s.h, s.w], s.window.clone());
-                    let next = predict_block_3d(&s.entry.model, &block);
+                    let next = predict_block_3d(&*s.entry.model, &block);
                     s.pending.extend_from_slice(next.data());
                     s.window.copy_from_slice(next.data());
                 }

@@ -26,6 +26,11 @@ cargo test -q --offline
 echo "==> parallel-parity proptest (release)"
 cargo test -q --release --offline -p fno-core --test parallel_parity
 
+# Pool concurrency bugs (lost wake-ups, join races) depend on timing too,
+# so the worker-pool tests also run optimized.
+echo "==> worker-pool tests (release)"
+cargo test -q --release --offline -p rayon
+
 if [ "$LINT" = 1 ]; then
     echo "==> cargo clippy (workspace, warnings are errors)"
     cargo clippy --workspace --offline -- -D warnings

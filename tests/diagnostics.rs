@@ -11,7 +11,7 @@
 
 use std::f64::consts::PI;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use fno2d_turbulence::data::Pair;
 use fno2d_turbulence::fno::config::{FnoConfig, FnoKind};
@@ -62,7 +62,7 @@ fn tmpdir(name: &str) -> PathBuf {
 /// held-out probe — the ISSUE's acceptance scenario for `--metrics-out`.
 #[test]
 fn metrics_stream_carries_manifest_epochs_and_physics() {
-    let _g = OBS_LOCK.lock().unwrap();
+    let _g = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     ft_obs::flight::reset();
     ft_obs::set_enabled(true);
     let dir = tmpdir("stream");
@@ -109,7 +109,7 @@ fn metrics_stream_carries_manifest_epochs_and_physics() {
 /// the rollback and the LR halving and dump the ring to disk.
 #[test]
 fn nan_rollback_records_events_and_dumps_flight_recorder() {
-    let _g = OBS_LOCK.lock().unwrap();
+    let _g = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     ft_obs::flight::reset();
     ft_obs::set_enabled(true);
     let dir = tmpdir("nan_dump");
@@ -166,7 +166,7 @@ fn nan_rollback_records_events_and_dumps_flight_recorder() {
 /// `solver_blowup` event and dumps the flight recorder.
 #[test]
 fn solver_blowup_records_event_and_dumps() {
-    let _g = OBS_LOCK.lock().unwrap();
+    let _g = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     ft_obs::flight::reset();
     ft_obs::set_enabled(true);
     let dir = tmpdir("blowup_dump");
@@ -204,7 +204,7 @@ fn solver_blowup_records_event_and_dumps() {
 /// sample, not per batch.
 #[test]
 fn short_tail_batch_neither_thrashes_plans_nor_skews_loss() {
-    let _g = OBS_LOCK.lock().unwrap();
+    let _g = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     ft_obs::flight::reset();
     ft_obs::set_enabled(true);
 
