@@ -317,23 +317,9 @@ impl Lbm {
         let collision = self.cfg.collision;
         let mrt_rates = MrtRates::stabilized(self.cfg.omega());
 
-        // Split the nine planes into row bands processed in parallel. Each
-        // band owns the same row range in every plane; to satisfy the borrow
-        // checker we work through raw row indices on the flat buffer with a
-        // per-row gather/scatter.
+        // Cells relax in parallel into the cell-major scratch buffer (nine
+        // values per cell), which is then scattered back to the planes.
         let f = &mut self.f;
-        // SAFETY-free approach: process rows in parallel using split_at_mut
-        // is awkward across planes; instead, parallelize with chunks over a
-        // row-index range and use interior pointers via `par_iter` on an
-        // index range plus unsafe-free copy in/out through a locals buffer.
-        // We copy each cell's 9 populations into a stack array, relax, and
-        // write back. The write targets are disjoint per cell, so we use
-        // `par_chunks_mut` on a transposed view instead: build is avoided by
-        // processing rows serially inside a parallel pass over bands of the
-        // *cell* index space via pointer arithmetic hidden behind chunks.
-        //
-        // Simpler and safe: reorder the loop so parallelism is over the
-        // scratch buffer (cell-major), then scatter back plane-major.
         let force = self.force.as_ref();
         let scratch = &mut self.scratch;
         scratch
@@ -463,12 +449,19 @@ fn self_omega(r: MrtRates) -> f64 {
     r.s_nu
 }
 
-/// Solves the entropy-equality `H(f + αΔ) = H(f)` for the nontrivial root α.
+/// Solves the entropy equality `H(f + αΔ) = H(f)` for the nontrivial root α.
 ///
-/// Newton iteration on `G(α) = H(f + αΔ) − H(f)` starting from the BGK value
-/// α = 2, guarded by the positivity barrier (any step that would make a
-/// population non-positive is halved). Returns 2 when the nonequilibrium is
-/// tiny (the entropic correction is then below floating-point noise).
+/// `G(α) = H(f + αΔ) − H(f)` is convex with `G(0) = 0` and
+/// `G(1) = H(f^eq) − H(f) ≤ 0`, so the root lies above 1. Returns 2 (BGK)
+/// when the nonequilibrium is tiny or `|G(2)|` is within the noise floor
+/// `1e-13·max(|H(f)|, 1)`. Otherwise the root is bracketed in `[lo, hi]`
+/// (growing `hi` from 2 by ×1.25 while `G(hi) < 0`) and found by Newton's
+/// method started at `hi`, with a bisection step whenever a Newton step is
+/// non-finite or leaves the bracket. It stops at the first iterate with
+/// `|G|` within the noise floor, or after 50 steps at the bracket midpoint.
+/// When the positivity barrier (some `f_i + αΔ_i ≤ 0`) comes before the root,
+/// the largest feasible α is returned; a root not bracketed after 20
+/// expansions is capped at the last `hi`.
 pub fn entropic_alpha(f: &[f64; 9], delta: &[f64; 9]) -> f64 {
     let dnorm: f64 = delta.iter().map(|d| d * d).sum::<f64>().sqrt();
     let fnorm: f64 = f.iter().map(|v| v * v).sum::<f64>().sqrt();
@@ -485,86 +478,83 @@ pub fn entropic_alpha(f: &[f64; 9], delta: &[f64; 9]) -> f64 {
         return 2.0;
     }
 
-    let g = |alpha: f64| -> f64 {
-        let mut fa = [0.0f64; 9];
+    // G(α) and G′(α) = Σ Δ_i (ln((f_i + αΔ_i)/w_i) + 1) from the same nine
+    // logarithms; G is +∞ past the positivity barrier.
+    let g = |alpha: f64| -> (f64, f64) {
+        let (mut h, mut dh) = (0.0, 0.0);
         for i in 0..9 {
-            fa[i] = f[i] + alpha * delta[i];
+            let fa = f[i] + alpha * delta[i];
+            if fa <= 0.0 {
+                return (f64::INFINITY, f64::NAN);
+            }
+            let ln = (fa / D2Q9::W[i]).ln();
+            h += fa * ln;
+            dh += delta[i] * (ln + 1.0);
         }
-        h_function(&fa) - h0
+        (h - h0, dh)
+    };
+    // Largest feasible α in [lo, hi) by bisection against positivity.
+    let barrier = |mut lo: f64, mut hi: f64| -> f64 {
+        for _ in 0..60 {
+            let mid = 0.5 * (lo + hi);
+            if (0..9).all(|i| f[i] + mid * delta[i] > 0.0) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     };
 
-    // G is convex with G(0) = 0 and G(1) = H(f^eq) − H(f) ≤ 0, so the
-    // nontrivial root lies in (1, ∞). Bracket it: grow `hi` until G(hi) > 0
-    // or positivity fails (then the root is capped by the barrier).
     let noise = 1e-13 * h0.abs().max(1.0);
-    let lo0 = 1.0;
+    let mut lo = 1.0;
     let mut hi = 2.0;
-    let mut g_hi = g(hi);
+    let (mut g_hi, mut d_hi) = g(hi);
     if g_hi.abs() <= noise {
         return 2.0; // entropy equality already holds at BGK within noise
     }
-    let mut lo = lo0;
     if g_hi < 0.0 {
-        // Root above 2: expand, guarded by positivity (G = ∞ past the barrier).
+        // Root above 2: expand, guarded by positivity. Each step's old `hi`
+        // had G < 0, so it is a sound lower end of the bracket.
         for _ in 0..20 {
             lo = hi;
             hi *= 1.25;
-            g_hi = g(hi);
+            (g_hi, d_hi) = g(hi);
             if g_hi > 0.0 {
                 break;
             }
         }
         if !g_hi.is_finite() {
-            // Positivity barrier before the entropy root: shrink hi to the
-            // largest feasible α by bisection against feasibility.
-            let mut flo = lo;
-            let mut fhi = hi;
-            for _ in 0..60 {
-                let mid = 0.5 * (flo + fhi);
-                if g(mid).is_finite() {
-                    flo = mid;
-                } else {
-                    fhi = mid;
-                }
-            }
-            return flo.max(1.0);
+            return barrier(lo, hi); // positivity barrier before the root
         }
         if g_hi < 0.0 {
             return hi; // never found a sign change; cap at the expanded value
         }
     } else if !g_hi.is_finite() {
-        // α = 2 already infeasible: largest feasible α in (1, 2).
-        let mut flo = lo0;
-        let mut fhi = 2.0;
-        for _ in 0..60 {
-            let mid = 0.5 * (flo + fhi);
-            if g(mid).is_finite() {
-                flo = mid;
-            } else {
-                fhi = mid;
-            }
-        }
-        return flo;
-    }
-
-    // Bisection on [lo, hi] with G(lo) ≤ 0 < G(hi); 50 iterations give
-    // double-precision accuracy and unconditional convergence.
-    let mut g_lo = g(lo);
-    if g_lo > 0.0 {
+        return barrier(lo, hi); // α = 2 already infeasible
+    } else if g(lo).0 > 0.0 {
         // Degenerate bracket (can only arise from noise); BGK is safe.
         return 2.0;
     }
+
+    // Safeguarded Newton on [lo, hi] with G(lo) ≤ 0 < G(hi). G is convex,
+    // so from `hi` the Newton iterates fall monotonically onto the root.
+    let (mut x, mut g_x, mut d_x) = (hi, g_hi, d_hi);
     for _ in 0..50 {
-        let mid = 0.5 * (lo + hi);
-        let gm = g(mid);
-        if !gm.is_finite() || gm > 0.0 {
-            hi = mid;
+        let newton = x - g_x / d_x;
+        x = if lo < newton && newton < hi { newton } else { 0.5 * (lo + hi) };
+        (g_x, d_x) = g(x);
+        if g_x.abs() <= noise {
+            return x;
+        }
+        // An infeasible x has G = +∞: it closes the bracket from above, and
+        // its NaN slope turns the next step into a bisection.
+        if g_x > 0.0 {
+            hi = x;
         } else {
-            lo = mid;
-            g_lo = gm;
+            lo = x;
         }
     }
-    let _ = g_lo;
     0.5 * (lo + hi)
 }
 
@@ -680,6 +670,155 @@ mod tests {
         assert!(alpha > 0.0 && alpha <= 2.5);
         for i in 0..9 {
             assert!(f[i] + alpha * 0.5 * delta[i] > 0.0, "population {i} went negative");
+        }
+    }
+
+    /// The pre-Newton solver, kept as a reference: 50 bisection steps on
+    /// the same bracket, after the same early exits.
+    fn bisection_alpha(f: &[f64; 9], delta: &[f64; 9]) -> f64 {
+        let dnorm: f64 = delta.iter().map(|d| d * d).sum::<f64>().sqrt();
+        let fnorm: f64 = f.iter().map(|v| v * v).sum::<f64>().sqrt();
+        if dnorm < 1e-7 * fnorm.max(1e-300) {
+            return 2.0;
+        }
+        let h0 = h_function(f);
+        if !h0.is_finite() {
+            return 2.0;
+        }
+        let g = |alpha: f64| -> f64 {
+            let mut fa = [0.0f64; 9];
+            for i in 0..9 {
+                fa[i] = f[i] + alpha * delta[i];
+            }
+            h_function(&fa) - h0
+        };
+        let barrier = |mut flo: f64, mut fhi: f64| -> f64 {
+            for _ in 0..60 {
+                let mid = 0.5 * (flo + fhi);
+                if g(mid).is_finite() {
+                    flo = mid;
+                } else {
+                    fhi = mid;
+                }
+            }
+            flo
+        };
+        let noise = 1e-13 * h0.abs().max(1.0);
+        let mut hi = 2.0;
+        let mut g_hi = g(hi);
+        if g_hi.abs() <= noise {
+            return 2.0;
+        }
+        let mut lo = 1.0;
+        if g_hi < 0.0 {
+            for _ in 0..20 {
+                lo = hi;
+                hi *= 1.25;
+                g_hi = g(hi);
+                if g_hi > 0.0 {
+                    break;
+                }
+            }
+            if !g_hi.is_finite() {
+                return barrier(lo, hi).max(1.0);
+            }
+            if g_hi < 0.0 {
+                return hi;
+            }
+        } else if !g_hi.is_finite() {
+            return barrier(lo, 2.0);
+        }
+        if g(lo) > 0.0 {
+            return 2.0;
+        }
+        for _ in 0..50 {
+            let mid = 0.5 * (lo + hi);
+            let gm = g(mid);
+            if !gm.is_finite() || gm > 0.0 {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    #[test]
+    fn newton_alpha_matches_bisection_on_a_turbulent_run() {
+        // Every cell of a 32² Re-500 entropic run, sampled every 8 steps.
+        let n = 32;
+        let mut lbm = Lbm::new(LbmConfig::with_reynolds(n, 500.0));
+        let (ux, uy) = IcSpec::default().generate(n, 0.05, 101);
+        lbm.set_velocity(&ux, &uy);
+        let (mut solved, mut worst) = (0usize, 0.0f64);
+        for _ in 0..8 {
+            lbm.run(8);
+            for idx in 0..n * n {
+                // Δ = f^eq(ρ, j/ρ) − f, as the unforced collision sees it.
+                let f: [f64; 9] = std::array::from_fn(|i| lbm.f[i * n * n + idx]);
+                let (rho, jx, jy) = moments(&f);
+                let feq = equilibrium(rho, jx / rho, jy / rho);
+                let delta: [f64; 9] = std::array::from_fn(|i| feq[i] - f[i]);
+                let reference = bisection_alpha(&f, &delta);
+                let newton = entropic_alpha(&f, &delta);
+                let err = (newton - reference).abs();
+                assert!(err <= 1e-6, "cell {idx}: α = {newton} vs bisection {reference}");
+                worst = worst.max(err);
+                solved += usize::from(reference != 2.0);
+            }
+        }
+        // Guard against a vacuous pass: most states must need a real solve.
+        assert!(solved > 4 * n * n, "only {solved} states left BGK; worst |Δα| {worst}");
+    }
+
+    /// Checks the contract of [`entropic_alpha`] for one population vector:
+    /// α is finite and ≥ 1, keeps every population positive, and solves the
+    /// entropy equality within the noise floor unless it is the positivity
+    /// barrier or the expansion cap.
+    fn check_alpha_contract(f: &[f64; 9]) {
+        let (rho, jx, jy) = moments(f);
+        let feq = equilibrium(rho, jx / rho, jy / rho);
+        let delta: [f64; 9] = std::array::from_fn(|i| feq[i] - f[i]);
+        let alpha = entropic_alpha(f, &delta);
+        assert!(alpha.is_finite() && alpha >= 1.0, "α = {alpha} for f = {f:?}");
+        let fa: [f64; 9] = std::array::from_fn(|i| f[i] + alpha * delta[i]);
+        assert!(fa.iter().all(|&v| v > 0.0), "α = {alpha} breaks positivity for f = {f:?}");
+
+        let h0 = h_function(f);
+        let gap = (h_function(&fa) - h0).abs();
+        let noise = 1e-13 * h0.abs().max(1.0);
+        let barrier = (0..9)
+            .filter(|&i| delta[i] < 0.0)
+            .map(|i| -f[i] / delta[i])
+            .fold(f64::INFINITY, f64::min);
+        let cap = (0..20).fold(2.0, |hi: f64, _| hi * 1.25);
+        assert!(
+            gap <= noise || (alpha - barrier).abs() <= 1e-9 * barrier || alpha == cap,
+            "α = {alpha}: |G| = {gap:e} > noise {noise:e}, barrier {barrier}, f = {f:?}"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn alpha_contract_near_equilibrium(
+            rho in 0.5f64..1.5,
+            ux in -0.3f64..0.3,
+            uy in -0.3f64..0.3,
+            log_eps in -6.0f64..-1.0,
+            r in proptest::collection::vec(-1.0f64..1.0, 9usize),
+        ) {
+            let feq = equilibrium(rho, ux, uy);
+            let eps = 10f64.powf(log_eps);
+            check_alpha_contract(&std::array::from_fn(|i| feq[i] * (1.0 + eps * r[i])));
+        }
+
+        #[test]
+        fn alpha_contract_far_from_equilibrium(
+            s in proptest::collection::vec(0.01f64..3.0, 9usize),
+        ) {
+            check_alpha_contract(&std::array::from_fn(|i| D2Q9::W[i] * s[i]));
         }
     }
 

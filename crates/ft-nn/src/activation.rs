@@ -9,7 +9,8 @@ use crate::Layer;
 /// `gelu(x) = 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³)))`.
 #[derive(Clone, Default)]
 pub struct Gelu {
-    cache_input: Option<Tensor>,
+    /// `gelu′(x)` of the last forward input, consumed by `backward`.
+    cache_slope: Option<Tensor>,
 }
 
 const C: f64 = 0.797_884_560_802_865_4; // sqrt(2/π)
@@ -24,14 +25,28 @@ impl Gelu {
     /// Scalar forward value.
     #[inline]
     pub fn value(x: f64) -> f64 {
-        0.5 * x * (1.0 + (C * (x + A * x * x * x)).tanh())
+        Self::value_at(x, Self::tanh_u(x))
     }
 
     /// Scalar derivative.
     #[inline]
     pub fn derivative(x: f64) -> f64 {
-        let u = C * (x + A * x * x * x);
-        let t = u.tanh();
+        Self::derivative_at(x, Self::tanh_u(x))
+    }
+
+    /// `tanh(√(2/π)·(x + 0.044715·x³))`, shared by the value and derivative.
+    #[inline]
+    fn tanh_u(x: f64) -> f64 {
+        (C * (x + A * x * x * x)).tanh()
+    }
+
+    #[inline]
+    fn value_at(x: f64, t: f64) -> f64 {
+        0.5 * x * (1.0 + t)
+    }
+
+    #[inline]
+    fn derivative_at(x: f64, t: f64) -> f64 {
         let sech2 = 1.0 - t * t;
         0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * A * x * x)
     }
@@ -44,16 +59,25 @@ impl Gelu {
 
 impl Layer for Gelu {
     fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.cache_input = Some(x.clone());
-        x.map(Self::value)
+        // One tanh per element yields both the output and the slope that
+        // backward needs.
+        let mut out = Vec::with_capacity(x.len());
+        let mut slope = Vec::with_capacity(x.len());
+        for &xv in x.data() {
+            let t = Self::tanh_u(xv);
+            out.push(Self::value_at(xv, t));
+            slope.push(Self::derivative_at(xv, t));
+        }
+        self.cache_slope = Some(Tensor::from_vec(x.dims(), slope));
+        Tensor::from_vec(x.dims(), out)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self
-            .cache_input
+        let slope = self
+            .cache_slope
             .take()
             .expect("backward called without a cached forward");
-        x.zip_map(grad_out, |xv, gv| Self::derivative(xv) * gv)
+        slope.zip_map(grad_out, |dv, gv| dv * gv)
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(ParamMut<'_>)) {}
@@ -98,6 +122,24 @@ mod tests {
             (i[0] as f64 - 0.5) * 0.8 + i[1] as f64 * 0.3 - i[2] as f64 * 0.2
         });
         check_input_gradient(&mut layer, &x, 1e-5, 1e-6);
+    }
+
+    #[test]
+    fn backward_is_bitwise_derivative_times_grad() {
+        let xs: Vec<f64> = (-40..=40)
+            .map(|i| i as f64 * 0.25)
+            .chain([0.0, -0.0, 10.0, -10.0, -1e-8, 3.7e-3, -6.25])
+            .collect();
+        let gs: Vec<f64> = (0..xs.len()).map(|i| 1.5 - 0.37 * i as f64).collect();
+        let x = Tensor::from_vec(&[xs.len()], xs.clone());
+        let mut layer = Gelu::new();
+        let y = layer.forward(&x);
+        let dx = layer.backward(&Tensor::from_vec(&[gs.len()], gs.clone()));
+        for i in 0..xs.len() {
+            assert_eq!(y.data()[i].to_bits(), Gelu::value(xs[i]).to_bits(), "value at {}", xs[i]);
+            let expect = Gelu::derivative(xs[i]) * gs[i];
+            assert_eq!(dx.data()[i].to_bits(), expect.to_bits(), "grad at {}", xs[i]);
+        }
     }
 
     #[test]

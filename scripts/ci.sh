@@ -49,6 +49,10 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 ./target/release/fno2dturb generate --out "$SMOKE_DIR/data.ftt" \
     --grid 16 --samples 2 --snapshots 20 --reynolds 500 --seed 1 \
     --metrics-out "$SMOKE_DIR/generate.jsonl" --bench-out "$SMOKE_DIR/BENCH_gen.json"
+# The paper's data generator: a tiny entropic-LBM dataset must come out
+# of the CLI cleanly (the spectral run above covers the default solver).
+./target/release/fno2dturb generate --solver lbm --out "$SMOKE_DIR/lbm.ftt" \
+    --grid 16 --samples 2 --snapshots 4 --reynolds 500 --seed 1
 # --threads 2 exercises the data-parallel batch sharding; the counters in
 # the baseline are exact for the fixed seed because the training
 # trajectory is thread-count invariant (DESIGN.md §13), and the
