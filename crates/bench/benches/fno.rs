@@ -1,12 +1,16 @@
 //! FNO cost benchmarks: inference (the "0.3 s per FNO step on an A6000"
 //! Sec. VII figure), one training step, and one hybrid window — the
-//! ML side of the paper's cost comparison and the time column of Table I.
+//! ML side of the paper's cost comparison and the time column of Table I —
+//! plus the per-layer kernels a training step and a served forecast spend
+//! their time in (`SpectralConv`, `Linear`, `Gelu`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ft_nn::{Adam, Layer, RelativeL2};
+use ft_nn::{Adam, Gelu, Layer, Linear, RelativeL2, SpectralConv};
 use ft_tensor::Tensor;
 use fno_core::rollout::rollout;
 use fno_core::{Fno, FnoConfig};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::hint::black_box;
 
 fn small_model(width: usize, modes: usize, c_out: usize) -> Fno {
@@ -67,5 +71,44 @@ fn bench_rollout_window(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_inference, bench_training_step, bench_rollout_window);
+/// Forward and backward of one layer on the same input, the backward
+/// timed after a fresh forward so each call sees a filled cache.
+fn bench_layer(c: &mut Criterion, group: &str, layer: &mut dyn Layer, x: &Tensor) {
+    let mut group = c.benchmark_group(group);
+    group.sample_size(20);
+    let g = field(layer.forward(x).dims());
+    group.bench_function("forward", |b| b.iter(|| black_box(layer.forward(x))));
+    group.bench_function("forward_backward", |b| {
+        b.iter(|| {
+            layer.forward(x);
+            black_box(layer.backward(&g))
+        })
+    });
+    group.finish();
+}
+
+fn bench_layer_kernels(c: &mut Criterion) {
+    // The shapes of perfbench's d32 model: batch 8, width 8, 32² grid.
+    let mut rng = StdRng::seed_from_u64(0);
+    let x = field(&[8, 8, 32, 32]);
+    bench_layer(c, "spectral_conv_w8_m8_b8_n32", &mut SpectralConv::new_2d(8, 8, 8, &mut rng), &x);
+    bench_layer(c, "linear_8to8_b8_n32", &mut Linear::new(8, 8, &mut rng), &x);
+    let x32 = field(&[8, 32, 32, 32]);
+    bench_layer(c, "linear_32to8_b8_n32", &mut Linear::new(32, 8, &mut rng), &x32);
+
+    let mut group = c.benchmark_group("gelu_c32_n32");
+    group.sample_size(20);
+    let mut gelu = Gelu::new();
+    let xg = field(&[1, 32, 32, 32]);
+    group.bench_function("forward", |b| b.iter(|| black_box(gelu.forward(&xg))));
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_inference,
+    bench_training_step,
+    bench_rollout_window,
+    bench_layer_kernels
+);
 criterion_main!(benches);

@@ -22,15 +22,34 @@ thread_local! {
 /// In-place 1D transform along `axis` of a complex tensor, batched over all
 /// other axes. Parallelizes over the contiguous outer blocks.
 pub fn fft_axis(ct: &mut CTensor, axis: usize, dir: Direction) {
-    let dims = ct.dims().to_vec();
+    let later = ct.dims().get(axis + 1..).unwrap_or_default().to_vec();
+    fft_axis_pruned(ct, axis, dir, &later);
+}
+
+/// [`fft_axis`] restricted to the lines whose index on every later axis
+/// `axis + 1 + j` lies below `keep[j]`; every other line is left as it is.
+///
+/// A caller passes the box of lines whose input is non-zero (the skipped
+/// lines would transform zeros to zeros) or whose output it reads. With
+/// `keep` equal to the later extents every line is transformed, which is
+/// [`fft_axis`]. Each transformed line has the same bits either way.
+pub fn fft_axis_pruned(ct: &mut CTensor, axis: usize, dir: Direction, keep: &[usize]) {
+    let dims = ct.dims();
     assert!(axis < dims.len(), "axis {axis} out of range for rank {}", dims.len());
+    let later = dims[axis + 1..].to_vec();
+    assert_eq!(keep.len(), later.len(), "one kept extent per axis after {axis}");
+    assert!(
+        keep.iter().zip(&later).all(|(k, d)| k <= d),
+        "kept extents {keep:?} exceed the axes {later:?}"
+    );
     let n = dims[axis];
     if n <= 1 {
         // A length-1 transform is the identity in both directions.
         return;
     }
-    let block: usize = dims[axis..].iter().product();
-    let inner: usize = dims[axis + 1..].iter().product();
+    let inner: usize = later.iter().product();
+    let block = n * inner;
+    let all_lines = keep == later.as_slice();
 
     // One planner lookup covers the whole batch; workers share the handle
     // instead of paying a plan-cache probe per line.
@@ -43,6 +62,9 @@ pub fn fft_axis(ct: &mut CTensor, axis: usize, dir: Direction) {
                 let mut scratch = s.borrow_mut();
                 scratch.resize(n, Complex64::ZERO);
                 for i in 0..inner {
+                    if !all_lines && !line_in_box(i, &later, keep) {
+                        continue;
+                    }
                     for t in 0..n {
                         scratch[t] = chunk[i + t * inner];
                     }
@@ -54,6 +76,18 @@ pub fn fft_axis(ct: &mut CTensor, axis: usize, dir: Direction) {
             });
         }
     });
+}
+
+/// Whether the line at row-major offset `i` over the axes `later` has every
+/// index inside the box `keep`.
+fn line_in_box(mut i: usize, later: &[usize], keep: &[usize]) -> bool {
+    for (&d, &k) in later.iter().zip(keep).rev() {
+        if i % d >= k {
+            return false;
+        }
+        i /= d;
+    }
+    true
 }
 
 /// Full complex transform over the last `ndim` axes (batched over the rest).
@@ -85,13 +119,24 @@ pub fn ifft2(ct: &CTensor) -> CTensor {
 /// Real-input transform over the last `ndim` axes: rfft along the last axis
 /// (half spectrum), full complex transforms along the other `ndim − 1`.
 pub fn rfftn(x: &Tensor, ndim: usize) -> CTensor {
+    let w = *x.dims().last().expect("rfftn of a rank-0 tensor");
+    rfftn_pruned(x, ndim, rfft_len(w))
+}
+
+/// [`rfftn`] for a caller that reads only the bins below `kept_last` on the
+/// (halved) last axis. Every row is transformed, then each full-axis pass
+/// skips the lines whose last-axis bin is at or above `kept_last`. Bins
+/// below `kept_last` have the same bits as in [`rfftn`]; the others are
+/// left unspecified.
+pub fn rfftn_pruned(x: &Tensor, ndim: usize, kept_last: usize) -> CTensor {
     let rank = x.shape().rank();
     assert!(ndim >= 1 && ndim <= rank, "rfftn over {ndim} axes of rank-{rank} tensor");
-    let dims = x.dims().to_vec();
+    let dims = x.dims();
     let w = dims[rank - 1];
     let wh = rfft_len(w);
+    assert!(kept_last <= wh, "kept_last {kept_last} exceeds the half spectrum {wh}");
 
-    let mut out_dims = dims.clone();
+    let mut out_dims = dims.to_vec();
     out_dims[rank - 1] = wh;
     let rows = x.len() / w;
     let mut out_data = vec![Complex64::ZERO; rows * wh];
@@ -106,8 +151,12 @@ pub fn rfftn(x: &Tensor, ndim: usize) -> CTensor {
         });
 
     let mut out = CTensor::from_vec(&out_dims, out_data);
+    // Only the last axis is in frequency when the other passes run, so it is
+    // the one axis that can prune their lines.
+    let mut lines = out_dims;
+    lines[rank - 1] = kept_last;
     for a in (rank - ndim)..(rank - 1) {
-        fft_axis(&mut out, a, Direction::Forward);
+        fft_axis_pruned(&mut out, a, Direction::Forward, &lines[a + 1..]);
     }
     out
 }
@@ -116,7 +165,19 @@ pub fn rfftn(x: &Tensor, ndim: usize) -> CTensor {
 pub fn irfftn(c: &CTensor, last_dim: usize, ndim: usize) -> Tensor {
     let rank = c.shape().rank();
     assert!(ndim >= 1 && ndim <= rank, "irfftn over {ndim} axes of rank-{rank} tensor");
-    let dims = c.dims().to_vec();
+    irfftn_pruned(c, last_dim, ndim, &c.dims()[rank - ndim + 1..])
+}
+
+/// [`irfftn`] of a spectrum that is zero outside a low-index box: `keep`
+/// holds one extent per transformed axis after the first (the last in
+/// half-spectrum units), and `c` must be zero wherever an index on one of
+/// those axes is at or above its extent. Each full-axis pass skips the lines
+/// that are zero, so the result has the same bits as [`irfftn`].
+pub fn irfftn_pruned(c: &CTensor, last_dim: usize, ndim: usize, keep: &[usize]) -> Tensor {
+    let rank = c.shape().rank();
+    assert!(ndim >= 1 && ndim <= rank, "irfftn over {ndim} axes of rank-{rank} tensor");
+    assert_eq!(keep.len(), ndim - 1, "one kept extent per transformed axis after the first");
+    let dims = c.dims();
     let wh = dims[rank - 1];
     assert_eq!(
         wh,
@@ -124,20 +185,24 @@ pub fn irfftn(c: &CTensor, last_dim: usize, ndim: usize) -> Tensor {
         "half-spectrum axis {wh} does not match rfft_len({last_dim})"
     );
 
-    let mut work = c.clone();
+    // Only the full-axis passes need a working copy of the spectrum.
+    let mut work = None;
     for a in (rank - ndim)..(rank - 1) {
-        fft_axis(&mut work, a, Direction::Inverse);
+        let t = a - (rank - ndim);
+        let w = work.get_or_insert_with(|| c.clone());
+        fft_axis_pruned(w, a, Direction::Inverse, &keep[t..]);
     }
+    let spectrum = work.as_ref().unwrap_or(c);
 
-    let mut out_dims = dims;
+    let mut out_dims = dims.to_vec();
     out_dims[rank - 1] = last_dim;
-    let rows = work.len() / wh;
+    let rows = spectrum.len() / wh;
     let mut out_data = vec![0.0f64; rows * last_dim];
     // Resolve the real plan once for the whole batch of rows.
     let rp = shared_real_plan(last_dim);
     out_data
         .par_chunks_mut(last_dim)
-        .zip(work.data().par_chunks(wh))
+        .zip(spectrum.data().par_chunks(wh))
         .for_each(|(dst, src)| {
             rp.irfft_into(src, dst);
         });
@@ -170,8 +235,7 @@ mod tests {
         let (h, w) = (x.dims()[0], x.dims()[1]);
         let mut rows = Vec::with_capacity(h);
         for i in 0..h {
-            let row: Vec<Complex64> =
-                (0..w).map(|j| Complex64::from_re(x.at(&[i, j]))).collect();
+            let row: Vec<Complex64> = (0..w).map(|j| Complex64::from_re(x.at(&[i, j]))).collect();
             rows.push(dft(&row, Direction::Forward));
         }
         let mut out = CTensor::zeros(&[h, w]);
@@ -296,6 +360,73 @@ mod tests {
                 for t in 0..6 {
                     assert!((y.at(&[b, t, c]) - oracle[t]).abs() < 1e-9);
                 }
+            }
+        }
+    }
+
+    fn same_bits(a: Complex64, b: Complex64) -> bool {
+        a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
+    }
+
+    #[test]
+    fn fft_axis_pruned_transforms_exactly_the_boxed_lines() {
+        let x = CTensor::from_fn(&[2, 5, 4, 6], |i| {
+            Complex64::new((i[0] + 3 * i[1]) as f64 * 0.3 - i[2] as f64, (i[3] as f64 * 0.7).sin())
+        });
+        let mut full = x.clone();
+        fft_axis(&mut full, 1, Direction::Forward);
+        let mut pruned = x.clone();
+        fft_axis_pruned(&mut pruned, 1, Direction::Forward, &[3, 2]);
+        for b in 0..2 {
+            for t in 0..5 {
+                for j in 0..4 {
+                    for k in 0..6 {
+                        let idx = [b, t, j, k];
+                        let expect = if j < 3 && k < 2 { full.at(&idx) } else { x.at(&idx) };
+                        assert!(same_bits(pruned.at(&idx), expect), "{idx:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pruned_real_transforms_match_full_ones_bitwise() {
+        // (dims, transformed axes, box over the axes after the first)
+        let cases: [(&[usize], usize, &[usize]); 5] = [
+            (&[2, 8, 8], 2, &[2]),
+            (&[3, 12, 10], 2, &[4]),
+            (&[1, 9, 15], 2, &[3]),
+            (&[2, 8, 6, 10], 3, &[3, 2]),
+            (&[1, 5, 6, 7], 3, &[2, 4]),
+        ];
+        for &(dims, ndim, keep) in &cases {
+            let rank = dims.len();
+            let x = Tensor::from_fn(dims, |i| {
+                i.iter().enumerate().map(|(a, &v)| ((a + 2) * v) as f64 * 0.37).sum::<f64>().sin()
+            });
+            let full = rfftn(&x, ndim);
+            let pruned = rfftn_pruned(&x, ndim, keep[ndim - 2]);
+            // Bins below the kept last-axis extent are exact.
+            for (idx, (a, b)) in full.data().iter().zip(pruned.data()).enumerate() {
+                if idx % full.dims()[rank - 1] < keep[ndim - 2] {
+                    assert!(same_bits(*a, *b), "{dims:?} rfftn bin {idx}");
+                }
+            }
+            // A spectrum that is zero outside the box inverts to the same bits.
+            let lead = rank - ndim;
+            let boxed = CTensor::from_fn(full.dims(), |i| {
+                if i[lead + 1..].iter().zip(keep).all(|(&k, &e)| k < e) {
+                    full.at(i)
+                } else {
+                    Complex64::ZERO
+                }
+            });
+            let last = dims[rank - 1];
+            let a = irfftn(&boxed, last, ndim);
+            let b = irfftn_pruned(&boxed, last, ndim, keep);
+            for (i, (u, v)) in a.data().iter().zip(b.data()).enumerate() {
+                assert_eq!(u.to_bits(), v.to_bits(), "{dims:?} irfftn element {i}");
             }
         }
     }

@@ -6,7 +6,10 @@ use ft_tensor::Tensor;
 use crate::param::ParamMut;
 use crate::Layer;
 
-/// `gelu(x) = 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³)))`.
+/// `gelu(x) = 0.5·x·(1 + tanh u)` with `u = √(2/π)·(x + 0.044715·x³)`,
+/// evaluated as `x·σ(2u)` through the identity `1 + tanh u = 2σ(2u)`, where
+/// `σ(z) = 1/(1 + e^(−z))`: one `exp` per element, and no cancellation in
+/// `1 + tanh u` for negative `x`.
 #[derive(Clone, Default)]
 pub struct Gelu {
     /// `gelu′(x)` of the last forward input, consumed by `backward`.
@@ -25,30 +28,30 @@ impl Gelu {
     /// Scalar forward value.
     #[inline]
     pub fn value(x: f64) -> f64 {
-        Self::value_at(x, Self::tanh_u(x))
+        Self::value_at(x, Self::sigmoid_2u(x))
     }
 
     /// Scalar derivative.
     #[inline]
     pub fn derivative(x: f64) -> f64 {
-        Self::derivative_at(x, Self::tanh_u(x))
+        Self::derivative_at(x, Self::sigmoid_2u(x))
     }
 
-    /// `tanh(√(2/π)·(x + 0.044715·x³))`, shared by the value and derivative.
+    /// `σ(2u)`, shared by the value and derivative.
     #[inline]
-    fn tanh_u(x: f64) -> f64 {
-        (C * (x + A * x * x * x)).tanh()
-    }
-
-    #[inline]
-    fn value_at(x: f64, t: f64) -> f64 {
-        0.5 * x * (1.0 + t)
+    fn sigmoid_2u(x: f64) -> f64 {
+        1.0 / (1.0 + (-2.0 * C * (x + A * x * x * x)).exp())
     }
 
     #[inline]
-    fn derivative_at(x: f64, t: f64) -> f64 {
-        let sech2 = 1.0 - t * t;
-        0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * A * x * x)
+    fn value_at(x: f64, s: f64) -> f64 {
+        x * s
+    }
+
+    /// `σ + 2x·σ(1 − σ)·C·(1 + 3A·x²)`: `(1 − tanh² u)/2 = 2σ(1 − σ)`.
+    #[inline]
+    fn derivative_at(x: f64, s: f64) -> f64 {
+        s + 2.0 * x * s * (1.0 - s) * C * (1.0 + 3.0 * A * x * x)
     }
 
     /// Forward pass without caching (inference).
@@ -59,14 +62,14 @@ impl Gelu {
 
 impl Layer for Gelu {
     fn forward(&mut self, x: &Tensor) -> Tensor {
-        // One tanh per element yields both the output and the slope that
+        // One exp per element yields both the output and the slope that
         // backward needs.
         let mut out = Vec::with_capacity(x.len());
         let mut slope = Vec::with_capacity(x.len());
         for &xv in x.data() {
-            let t = Self::tanh_u(xv);
-            out.push(Self::value_at(xv, t));
-            slope.push(Self::derivative_at(xv, t));
+            let s = Self::sigmoid_2u(xv);
+            out.push(Self::value_at(xv, s));
+            slope.push(Self::derivative_at(xv, s));
         }
         self.cache_slope = Some(Tensor::from_vec(x.dims(), slope));
         Tensor::from_vec(x.dims(), out)
@@ -91,6 +94,43 @@ impl Layer for Gelu {
 mod tests {
     use super::*;
     use crate::gradcheck::check_input_gradient;
+
+    /// The tanh expression the σ(2u) form replaces, kept as its oracle.
+    fn tanh_value(x: f64) -> f64 {
+        0.5 * x * (1.0 + (C * (x + A * x * x * x)).tanh())
+    }
+
+    fn tanh_derivative(x: f64) -> f64 {
+        let t = (C * (x + A * x * x * x)).tanh();
+        0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * C * (1.0 + 3.0 * A * x * x)
+    }
+
+    #[test]
+    fn agrees_with_the_tanh_form() {
+        for i in -20_000..=20_000 {
+            let x = i as f64 * 1e-3;
+            let scale = x.abs().max(1.0);
+            let dv = (Gelu::value(x) - tanh_value(x)).abs();
+            assert!(dv <= 4e-15 * scale, "value at {x}: off by {dv:e}");
+            let dd = (Gelu::derivative(x) - tanh_derivative(x)).abs();
+            assert!(dd <= 2e-14, "slope at {x}: off by {dd:e}");
+        }
+    }
+
+    #[test]
+    fn stays_accurate_for_negative_inputs() {
+        // 1 + tanh u cancels to 0 for u ≲ −19; the σ(2u) form keeps the
+        // tiny negative value e^{2u}·x/(1 + e^{2u}).
+        for i in 0..=6_000 {
+            let x = -6.0 - i as f64 * 1e-3;
+            let e = (2.0 * C * (x + A * x * x * x)).exp();
+            let reference = x * e / (1.0 + e);
+            let v = Gelu::value(x);
+            assert!(v < 0.0, "value at {x} is {v}");
+            let rel = ((v - reference) / reference).abs();
+            assert!(rel <= 1e-12, "value at {x}: relative error {rel:e}");
+        }
+    }
 
     #[test]
     fn known_values() {

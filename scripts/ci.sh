@@ -26,6 +26,12 @@ cargo test -q --offline
 echo "==> parallel-parity proptest (release)"
 cargo test -q --release --offline -p fno-core --test parallel_parity
 
+# The layer kernels assert equal bits against their plain-loop oracles
+# (pruned spectral transforms, tiled Linear); optimization is where a
+# reordered floating-point operation would show, so they run optimized too.
+echo "==> layer-kernel oracle tests (release)"
+cargo test -q --release --offline -p ft-nn -p ft-fft
+
 # Pool concurrency bugs (lost wake-ups, join races) depend on timing too,
 # so the worker-pool tests also run optimized.
 echo "==> worker-pool tests (release)"
